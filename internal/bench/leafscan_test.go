@@ -53,7 +53,7 @@ func TestLeafScanLayoutsAgree(t *testing.T) {
 		}
 	}
 	out := make([]float64, leafEntries)
-	for _, bound := range []float64{math.Inf(1), 1.5, 0.4, 0.05} {
+	for _, bound := range []float64{math.Inf(1), leafLooseBound, 0.4, leafTightBound} {
 		lBest, lWithin := ScanLegacyKNN(q, legacy, bound)
 		sBest, sWithin := ScanSlabKNN(q, slab, bound, out)
 		if lBest != sBest || lWithin != sWithin {
@@ -72,7 +72,7 @@ func TestLeafScanGate(t *testing.T) {
 	}
 	q, legacy, slab := leafFixture(t)
 	out := make([]float64, leafEntries)
-	const bound = 1.5
+	const bound = leafLooseBound
 
 	legacyRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -92,22 +92,39 @@ func TestLeafScanGate(t *testing.T) {
 	}
 }
 
+// Leaf-scan benchmark bounds. At leafLooseBound almost no entry is
+// abandoned; at leafTightBound most are abandoned a few dimensions in, the
+// regime a k-NN search runs in once its k-th best distance has settled.
+const (
+	leafLooseBound = 1.5
+	leafTightBound = 0.05
+)
+
 // BenchmarkLeafScanLegacy / BenchmarkLeafScanSlab measure the k-NN-style
-// bounded scan over one decoded leaf in each layout.
-func BenchmarkLeafScanLegacy(b *testing.B) {
+// bounded scan over one decoded leaf in each layout; the Tight variants
+// repeat them at leafTightBound.
+func BenchmarkLeafScanLegacy(b *testing.B) { benchLeafScanLegacy(b, leafLooseBound) }
+
+func BenchmarkLeafScanSlab(b *testing.B) { benchLeafScanSlab(b, leafLooseBound) }
+
+func BenchmarkLeafScanLegacyTight(b *testing.B) { benchLeafScanLegacy(b, leafTightBound) }
+
+func BenchmarkLeafScanSlabTight(b *testing.B) { benchLeafScanSlab(b, leafTightBound) }
+
+func benchLeafScanLegacy(b *testing.B, bound float64) {
 	q, legacy, _ := leafFixture(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ScanLegacyKNN(q, legacy, 1.5)
+		ScanLegacyKNN(q, legacy, bound)
 	}
 }
 
-func BenchmarkLeafScanSlab(b *testing.B) {
+func benchLeafScanSlab(b *testing.B, bound float64) {
 	q, _, slab := leafFixture(b)
 	out := make([]float64, leafEntries)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ScanSlabKNN(q, slab, 1.5, out)
+		ScanSlabKNN(q, slab, bound, out)
 	}
 }
 

@@ -272,7 +272,6 @@ func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.P
 	base := len(dst)
 
 	sqm, useSq := dist.AsSquared(m)
-	slm, useSlab := dist.AsSlab(m)
 	bound := radius
 	if useSq {
 		bound = radius * radius
@@ -308,28 +307,20 @@ func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.P
 			if tr != nil {
 				scan0 = time.Now()
 			}
-			switch {
-			case useSlab:
+			if useSq {
 				// Batch kernel: one linear pass over the slab with
 				// partial-distance abandonment at the squared radius.
-				// Accepted values (<= bound) are bit-identical to the
-				// per-point DistanceSqBounded calls.
+				// Accepted values (<= bound) are bit-identical to
+				// DistanceSq.
 				out := qc.distSlab(n.count())
-				slm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
+				sqm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
 				for i, d2 := range out {
 					if d2 <= bound {
 						tr.Hit(span)
 						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: math.Sqrt(d2)})
 					}
 				}
-			case useSq:
-				for i := 0; i < n.count(); i++ {
-					if d2 := sqm.DistanceSqBounded(q, n.point(i), bound); d2 <= bound {
-						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: math.Sqrt(d2)})
-					}
-				}
-			default:
+			} else {
 				for i := 0; i < n.count(); i++ {
 					if d := m.Distance(q, n.point(i)); d <= radius {
 						tr.Hit(span)
@@ -487,7 +478,6 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 	base := len(dst)
 
 	sqm, useSq := dist.AsSquared(m)
-	slm, useSlab := dist.AsSlab(m)
 	// shrink scales the pruning bound for approximate search; for squared
 	// distances the factor is squared too. epsilon = 0 gives shrink = 1,
 	// and x*1 == x for floats, so the exact path is untouched.
@@ -533,20 +523,19 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 			if tr != nil {
 				scan0 = time.Now()
 			}
-			switch {
-			case useSlab:
+			if useSq {
 				// Batch kernel against the bound at leaf entry. A candidate
 				// whose exact distance beats only the *stale* bound reaches
 				// Offer, which rejects it with no state change (priority >=
-				// current worst) — exactly the candidates the per-point loop
-				// skipped after refreshing the bound, so results and Hit
-				// counts are identical to the scalar path.
+				// current worst) — exactly the candidates a per-point loop
+				// refreshing the bound would skip, so results and Hit
+				// counts match it.
 				bound := math.Inf(1)
 				if best.Full() {
 					bound = best.Bound()
 				}
 				out := qc.distSlab(n.count())
-				slm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
+				sqm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
 				for i, d2 := range out {
 					if d2 > bound {
 						continue // abandoned or beaten; Offer would reject it
@@ -555,24 +544,7 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 						tr.Hit(span)
 					}
 				}
-			case useSq:
-				bound := math.Inf(1)
-				if best.Full() {
-					bound = best.Bound()
-				}
-				for i := 0; i < n.count(); i++ {
-					d2 := sqm.DistanceSqBounded(q, n.point(i), bound)
-					if d2 > bound {
-						continue // abandoned or beaten; Offer would reject it
-					}
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d2}, d2) {
-						tr.Hit(span)
-					}
-					if best.Full() {
-						bound = best.Bound()
-					}
-				}
-			default:
+			} else {
 				for i := 0; i < n.count(); i++ {
 					d := m.Distance(q, n.point(i))
 					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d}, d) {

@@ -10,8 +10,8 @@ import (
 // searches can compare squared distances against squared bounds end-to-end
 // and take a single square root per *reported* result instead of one per
 // candidate. The additivity also enables partial-distance early abandonment:
-// DistanceSqBounded stops accumulating as soon as the running sum exceeds
-// the caller's pruning bound, the standard kernel trick for high-dimensional
+// the bounded forms stop accumulating once the running sum exceeds the
+// caller's pruning bound, the standard kernel trick for high-dimensional
 // leaf scans.
 //
 // Contracts, for instances whose SquaredOK reports true:
@@ -21,6 +21,10 @@ import (
 //   - MinDistRect(q, r) == math.Sqrt(MinDistRectSq(q, r)), likewise.
 //   - DistanceSqBounded(a, b, bound) returns DistanceSq(a, b) whenever that
 //     value is <= bound; otherwise it may return any value > bound.
+//   - DistanceSqSlab(q, slab, dim, bound, out) sets, for every point i of
+//     the slab, out[i] = DistanceSq(q, slab[i*dim:(i+1)*dim]) whenever that
+//     value is <= bound, and otherwise some partial sum > bound. The caller
+//     guarantees len(q) == dim and len(out) >= len(slab)/dim.
 //
 // Use AsSquared to detect support: a type can implement the methods
 // unconditionally (LpMetric does, for all P) while only vouching for them on
@@ -34,10 +38,15 @@ type SquaredMetric interface {
 	// accumulates it.
 	DistanceSq(a, b geom.Point) float64
 	// DistanceSqBounded is DistanceSq with partial-distance early
-	// abandonment: once the running sum strictly exceeds bound the scan
-	// stops and the partial sum is returned. The result is exact whenever
-	// it is <= bound.
+	// abandonment, tested after every dimension: once the running sum
+	// strictly exceeds bound the scan stops and the partial sum is
+	// returned. The result is exact whenever it is <= bound.
 	DistanceSqBounded(a, b geom.Point, bound float64) float64
+	// DistanceSqSlab is the batch leaf-scan kernel: the bounded squared
+	// distance from q to every point of a flat coordinate slab (n points
+	// stored contiguously as slab[i*dim:(i+1)*dim]), written to out[i].
+	// Abandonment is tested once per block of dimensions (see slab.go).
+	DistanceSqSlab(q geom.Point, slab []float32, dim int, bound float64, out []float64)
 	// MinDistRectSq is the squared MINDIST lower bound.
 	MinDistRectSq(q geom.Point, r geom.Rect) float64
 }

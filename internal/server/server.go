@@ -153,9 +153,8 @@ type Server struct {
 	m        *serverMetrics
 
 	httpSrv  *http.Server
-	ln       net.Listener
+	ln       atomic.Pointer[net.Listener] // set by Serve, read by Addr
 	draining atomic.Bool
-	served   atomic.Bool
 }
 
 // New builds a Server over tree. It starts the executor (and, with writes
@@ -189,13 +188,12 @@ func (s *Server) Handler() http.Handler { return s.httpSrv.Handler }
 
 // Serve accepts connections on ln (wrapped with the connection cap) until
 // Shutdown. It returns http.ErrServerClosed after a graceful shutdown,
-// matching net/http.
+// matching net/http — immediately, closing ln, when Shutdown came first.
 func (s *Server) Serve(ln net.Listener) error {
 	if s.cfg.MaxConns > 0 {
 		ln = limitListener(ln, s.cfg.MaxConns, s.m.connsHeld)
 	}
-	s.ln = ln
-	s.served.Store(true)
+	s.ln.Store(&ln)
 	return s.httpSrv.Serve(ln)
 }
 
@@ -211,10 +209,11 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Addr reports the bound listener address, or nil before Serve.
 func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
+	ln := s.ln.Load()
+	if ln == nil {
 		return nil
 	}
-	return s.ln.Addr()
+	return (*ln).Addr()
 }
 
 // Draining reports whether a drain has begun (readiness has flipped).
@@ -238,12 +237,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.Swap(true) {
 		return nil
 	}
-	var err error
-	if s.served.Load() {
-		err = s.httpSrv.Shutdown(ctx)
-		if err != nil {
-			_ = s.httpSrv.Close()
-		}
+	// Unconditional, even if Serve has not started: net/http then makes
+	// any later Serve return http.ErrServerClosed at once.
+	err := s.httpSrv.Shutdown(ctx)
+	if err != nil {
+		_ = s.httpSrv.Close()
 	}
 	s.exec.Close()
 	if s.group != nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -385,5 +387,63 @@ func TestBodyLimitBounds(t *testing.T) {
 	w := post(t, s.Handler(), "/v1/knn", big.String(), nil)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("1MB body against a 128B cap: status %d, want 413", w.Code)
+	}
+}
+
+// TestShutdownBeforeServe: a Shutdown that wins the race with the goroutine
+// running Serve must still stop it. Serve then returns http.ErrServerClosed
+// at once and closes its listener instead of serving on forever.
+func TestShutdownBeforeServe(t *testing.T) {
+	s, _ := newTestServer(t, 3, 10, nil)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Fatalf("Serve after Shutdown returned %v, want http.ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		_ = ln.Close()
+		t.Fatal("Serve still running 5s after Shutdown")
+	}
+	if c, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting after Serve returned")
+	}
+}
+
+// TestAddrWhileServing reads Addr concurrently with Serve starting up and
+// shutting down; run under -race it pins that the listener hand-off is
+// synchronised.
+func TestAddrWhileServing(t *testing.T) {
+	s, _ := newTestServer(t, 3, 10, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Addr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("Addr still nil 5s after Serve started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got, want := s.Addr().String(), ln.Addr().String(); got != want {
+		t.Fatalf("Addr = %s, want %s", got, want)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 }
