@@ -118,7 +118,7 @@ func leafCount(page []byte, dim int) (int, error) {
 	return count, nil
 }
 
-// ScanLegacyKNN is the pre-slab leaf loop of searchKNN: per-point bounded
+// ScanLegacyKNN is core's pre-slab k-NN leaf loop: per-point bounded
 // squared distance through the pointer-per-point layout. Returns the best
 // squared distance found and the number of entries within bound.
 func ScanLegacyKNN(q geom.Point, l *LegacyLeaf, bound float64) (float64, int) {

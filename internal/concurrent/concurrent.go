@@ -18,7 +18,6 @@
 package concurrent
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -133,35 +132,6 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]core.
 // against the snapshot current at entry.
 func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]core.Neighbor, error) {
 	ns, err := t.tree.SearchKNN(q, k, m)
-	cloneNeighbors(ns)
-	return ns, err
-}
-
-// SearchKNNContext is a goroutine-safe core.Tree.SearchKNNContext: the
-// search checks ctx and the budget once per node visit, degrading to
-// best-found-so-far on budget exhaustion (see core.Budget).
-func (t *Tree) SearchKNNContext(ctx context.Context, q geom.Point, k int, m dist.Metric, b core.Budget) ([]core.Neighbor, error) {
-	c := getCtx()
-	defer putCtx(c)
-	ns, err := t.tree.SearchKNNContext(ctx, c, q, k, m, b, nil)
-	cloneNeighbors(ns)
-	return ns, err
-}
-
-// SearchBoxContext is a goroutine-safe core.Tree.SearchBoxContext.
-func (t *Tree) SearchBoxContext(ctx context.Context, q geom.Rect, b core.Budget) ([]core.Entry, error) {
-	c := getCtx()
-	defer putCtx(c)
-	es, err := t.tree.SearchBoxContext(ctx, c, q, b, nil)
-	cloneEntries(es)
-	return es, err
-}
-
-// SearchRangeContext is a goroutine-safe core.Tree.SearchRangeContext.
-func (t *Tree) SearchRangeContext(ctx context.Context, q geom.Point, radius float64, m dist.Metric, b core.Budget) ([]core.Neighbor, error) {
-	c := getCtx()
-	defer putCtx(c)
-	ns, err := t.tree.SearchRangeContext(ctx, c, q, radius, m, b, nil)
 	cloneNeighbors(ns)
 	return ns, err
 }

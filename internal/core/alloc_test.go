@@ -75,6 +75,28 @@ func TestSearchZeroAlloc(t *testing.T) {
 		i++
 		return err
 	})
+	// Alternating kinds on one context: switching from box to range to
+	// k-NN to count must not rebuild any per-kind scratch (the k-best
+	// collector above all). The count runs CountBox's query on c directly:
+	// CountBox itself borrows a pooled context, and the race detector makes
+	// sync.Pool drop items at random.
+	i = 0
+	run("Alternating/Box+Range+KNN+CountBox", func() error {
+		box, q := boxes[i%len(boxes)], queries[i%len(queries)]
+		i++
+		var err error
+		if ents, err = tree.SearchBoxCtx(c, box, ents[:0]); err != nil {
+			return err
+		}
+		if nbrs, err = tree.SearchRangeCtx(c, q, 0.5, l2, nbrs[:0]); err != nil {
+			return err
+		}
+		if nbrs, err = tree.SearchKNNCtx(c, q, 10, l2, nbrs[:0]); err != nil {
+			return err
+		}
+		count := query{op: opBox, win: box, count: true}
+		return tree.search(nil, c, Budget{}, &count)
+	})
 
 	// The no-op tracer must keep the hot path allocation-free: StartTrace
 	// returns nil and every per-event trace call is an inlined nil check.

@@ -55,8 +55,9 @@ func (e *Explanation) String() string {
 // locally-owned trace — the one traversal has one instrumentation
 // mechanism, whether the consumer is a Tracer sink or this aggregation.
 func (t *Tree) ExplainBox(q geom.Rect) ([]Entry, *Explanation, error) {
-	if q.Dim() != t.cfg.Dim {
-		return nil, nil, fmt.Errorf("core: query has dim %d, tree expects %d", q.Dim(), t.cfg.Dim)
+	d := query{op: opBox, win: q}
+	if err := t.validate(&d); err != nil {
+		return nil, nil, err
 	}
 	c := t.getCtx()
 	defer t.putCtx(c)
@@ -68,12 +69,12 @@ func (t *Tree) ExplainBox(q geom.Rect) ([]Entry, *Explanation, error) {
 	qc.tally = tally{}
 	tr := obs.NewTrace("box")
 	qc.tr = tr
-	out, err := t.runBox(qc, q, nil)
-	t.finishQuery(qc, opBox, tr.Start, len(out), err)
+	err := t.run(qc, &d)
+	t.finishQuery(qc, opBox, tr.Start, len(d.ents), err)
 
 	ex := explanationFromTrace(tr, ver.height)
-	ex.Results = len(out)
-	return out, ex, err
+	ex.Results = len(d.ents)
+	return d.ents, ex, err
 }
 
 // explanationFromTrace collapses a span tree into per-level totals. Kd and

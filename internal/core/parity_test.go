@@ -296,6 +296,18 @@ func TestSearchParityWithSeed(t *testing.T) {
 		if !reflect.DeepEqual(gotCtx, want) {
 			t.Fatalf("box query %d: Ctx variant diverges", qi)
 		}
+		var count int
+		countReads := reads(t, st, func() error { var e error; count, e = tree.CountBox(box); return e })
+		if count != len(want) || countReads != wantReads {
+			t.Fatalf("box query %d: CountBox = %d with %d node reads, seed has %d with %d", qi, count, countReads, len(want), wantReads)
+		}
+		explained, _, err := tree.ExplainBox(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(explained, want) {
+			t.Fatalf("box query %d: ExplainBox results differ from seed implementation", qi)
+		}
 
 		q := pts[rng.Intn(len(pts))]
 		for mi, m := range metrics {
@@ -329,30 +341,13 @@ func TestSearchParityWithSeed(t *testing.T) {
 			if !reflect.DeepEqual(gotKCtx, wantK) {
 				t.Fatalf("knn query %d metric %d k=%d: Ctx variant diverges", qi, mi, k)
 			}
-		}
-	}
-}
-
-// TestSearchBoxFuncParity checks the streaming traversal emits the same
-// entries in the same order as SearchBox.
-func TestSearchBoxFuncParity(t *testing.T) {
-	tree, _, _ := parityTree(t, 3000, 8, 43)
-	rng := rand.New(rand.NewSource(44))
-	for qi := 0; qi < 20; qi++ {
-		box := randQueryRect(rng, 8, 0.6)
-		want, err := tree.SearchBox(box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Entry
-		if err := tree.SearchBoxFunc(box, func(e Entry) bool {
-			got = append(got, e)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("box func query %d: stream differs from SearchBox", qi)
+			gotA, err := tree.SearchKNNApprox(q, k, m, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotA, wantK) {
+				t.Fatalf("knn query %d metric %d k=%d: SearchKNNApprox(ε=0) differs from seed implementation", qi, mi, k)
+			}
 		}
 	}
 }

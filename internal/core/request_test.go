@@ -319,6 +319,163 @@ func TestQueryOutcomeCountersExclusive(t *testing.T) {
 	expectDelta(before, "degraded")
 }
 
+// TestQueryOutcomeContract pins the error and partial-result rules of all
+// three query kinds under the three ways a query can stop early: its context
+// cancelled mid-query, its page budget exhausted, and a page read failing
+// mid-query. Every query starts from a cold cache (so each node visit reaches
+// the file) and appends to a one-element caller prefix, which must survive
+// untouched whatever happens.
+//
+// Box and range queries emit results in traversal order, so whatever they
+// keep past the prefix must be a prefix of the full answer: cancellation
+// keeps nothing, a budget keeps the prefix found so far (and reports its
+// length as Partial), and a read fault keeps it too. k-NN degrades under a
+// budget to its sorted best-found-so-far, but leaves dst unchanged on
+// cancellation and on a read fault.
+func TestQueryOutcomeContract(t *testing.T) {
+	fault := pagefile.NewFaultFile(pagefile.NewMemFile(pagefile.DefaultPageSize), 1<<30)
+	hf := &hookFile{File: fault}
+	tree, err := New(hf, Config{Dim: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := makePoints(4000, 8, 78)
+	for i, p := range pts {
+		if err := tree.Insert(p, RecordID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	box := geom.Rect{Lo: make(geom.Point, 8), Hi: make(geom.Point, 8)}
+	for d := range box.Lo {
+		box.Lo[d], box.Hi[d] = 0.05, 0.95
+	}
+	q, l2 := pts[5], dist.L2()
+	const radius, k = 0.6, 10
+	c := NewQueryContext()
+	fullBox, err := tree.SearchBoxCtx(c, box, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullRange, err := tree.SearchRangeCtx(c, q, radius, l2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fullBox) == 0 || len(fullRange) == 0 {
+		t.Fatal("workload too selective: full answers are empty")
+	}
+
+	const midQuery = 6 // file reads before cancelling or failing
+	sentinel := Entry{RID: 1 << 40}
+	// run issues one query of the given kind; it reports the results past
+	// the caller prefix as RIDs (and, for k-NN, checks their order).
+	run := func(kind string, ctx context.Context, b Budget) (rest []RecordID, err error) {
+		switch kind {
+		case "box":
+			got, err := tree.SearchBoxContext(ctx, c, box, b, []Entry{sentinel})
+			if len(got) == 0 || got[0].RID != sentinel.RID {
+				t.Fatalf("box: caller prefix lost: %v", got)
+			}
+			for _, e := range got[1:] {
+				rest = append(rest, e.RID)
+			}
+			return rest, err
+		default:
+			pre := []Neighbor{{Entry: sentinel, Dist: -1}}
+			var got []Neighbor
+			if kind == "range" {
+				got, err = tree.SearchRangeContext(ctx, c, q, radius, l2, b, pre)
+			} else {
+				got, err = tree.SearchKNNContext(ctx, c, q, k, l2, b, pre)
+			}
+			if len(got) == 0 || got[0].RID != sentinel.RID || got[0].Dist != -1 {
+				t.Fatalf("%s: caller prefix lost: %v", kind, got)
+			}
+			for i, nb := range got[1:] {
+				if kind == "knn" && i > 0 && nb.Dist < got[i].Dist {
+					t.Fatalf("knn: partial result unsorted at %d", i)
+				}
+				rest = append(rest, nb.RID)
+			}
+			return rest, err
+		}
+	}
+	isPrefixOf := func(kind string, rest []RecordID) bool {
+		for i, rid := range rest {
+			switch {
+			case kind == "box" && (i >= len(fullBox) || fullBox[i].RID != rid):
+				return false
+			case kind == "range" && (i >= len(fullRange) || fullRange[i].RID != rid):
+				return false
+			}
+		}
+		return true
+	}
+
+	for _, kind := range []string{"box", "range", "knn"} {
+		for _, cond := range []string{"cancel", "budget", "fault"} {
+			tree.DropCaches()
+			ctx, cancel := context.WithCancel(context.Background())
+			var b Budget
+			hf.mu.Lock()
+			hf.n = 0
+			switch cond {
+			case "cancel":
+				hf.onRead = func(n int) {
+					if n == midQuery {
+						cancel()
+					}
+				}
+			case "budget":
+				b.MaxPageReads = midQuery
+			case "fault":
+				fault.SetRemaining(midQuery)
+			}
+			hf.mu.Unlock()
+
+			rest, err := run(kind, ctx, b)
+
+			hf.mu.Lock()
+			hf.onRead = nil
+			hf.mu.Unlock()
+			fault.SetRemaining(1 << 30)
+			cancel()
+
+			var be *ErrBudgetExceeded
+			switch cond {
+			case "cancel":
+				if !errors.Is(err, context.Canceled) || ClassifyOutcome(err) != obs.OutcomeCancelled {
+					t.Fatalf("%s/%s: err = %v, want context.Canceled", kind, cond, err)
+				}
+				if len(rest) != 0 {
+					t.Fatalf("%s/%s: %d results kept past the prefix, want none", kind, cond, len(rest))
+				}
+			case "budget":
+				if !errors.As(err, &be) || ClassifyOutcome(err) != obs.OutcomeDegraded {
+					t.Fatalf("%s/%s: err = %v, want *ErrBudgetExceeded", kind, cond, err)
+				}
+				if be.Op != kind || be.Resource != "page_reads" || be.Partial != len(rest) {
+					t.Fatalf("%s/%s: budget error %+v with %d results kept", kind, cond, be, len(rest))
+				}
+				if len(rest) == 0 || !isPrefixOf(kind, rest) {
+					t.Fatalf("%s/%s: kept %d results, want a non-empty prefix of the full answer", kind, cond, len(rest))
+				}
+			case "fault":
+				if !errors.Is(err, pagefile.ErrInjected) || ClassifyOutcome(err) != obs.OutcomeError {
+					t.Fatalf("%s/%s: err = %v, want ErrInjected", kind, cond, err)
+				}
+				if errors.As(err, &be) {
+					t.Fatalf("%s/%s: read fault reported as a budget error", kind, cond)
+				}
+				wantSome := kind != "knn"
+				if (len(rest) > 0) != wantSome || !isPrefixOf(kind, rest) {
+					t.Fatalf("%s/%s: kept %d results past the prefix, want a non-empty prefix of the full answer: %v",
+						kind, cond, len(rest), wantSome)
+				}
+			}
+		}
+	}
+}
+
 func close64(a, b float64) bool {
 	d := a - b
 	if d < 0 {

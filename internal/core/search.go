@@ -79,146 +79,19 @@ func (t *Tree) SearchBoxCtx(c *QueryContext, q geom.Rect, dst []Entry) ([]Entry,
 // kept in dst — a valid subset of the full answer. A nil ctx and zero
 // Budget run the plain unarmed path.
 func (t *Tree) SearchBoxContext(ctx context.Context, c *QueryContext, q geom.Rect, b Budget, dst []Entry) ([]Entry, error) {
-	if q.Dim() != t.cfg.Dim {
-		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", q.Dim(), t.cfg.Dim)
-	}
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	t.pinCtx(qc)
-	qc.arm(ctx, b)
-	_, start := t.beginQuery(qc, opBox)
-	base := len(dst)
-	dst, err := t.runBox(qc, q, dst)
-	if err != nil {
-		if isCtxErr(err) {
-			dst = dst[:base]
-		} else if be, ok := err.(*ErrBudgetExceeded); ok {
-			be.Partial = len(dst) - base
-		}
-	}
-	t.finishQuery(qc, opBox, start, len(dst)-base, err)
-	return dst, err
+	d := query{op: opBox, win: q, ents: dst}
+	err := t.search(ctx, c, b, &d)
+	return d.ents, err
 }
 
-// runBox is the box query's traversal loop, shared by SearchBoxCtx and
-// ExplainBox (which supplies its own trace via qc.tr).
-func (t *Tree) runBox(qc *queryCtx, q geom.Rect, dst []Entry) ([]Entry, error) {
-	tr := qc.tr
-	pending := append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
-	for len(pending) > 0 {
-		if err := qc.checkVisit(opBox); err != nil {
-			qc.pending = pending[:0]
-			return dst, err
-		}
-		v := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		qc.arena.copyOut(v.slot, qc.walk)
-		qc.arena.release(v.slot)
-		n, hit, err := t.getqTraced(tr, v.child, qc.ver.epoch)
-		if err != nil {
-			qc.pending = pending[:0]
-			return dst, err
-		}
-		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			var scan0 time.Time
-			if tr != nil {
-				scan0 = time.Now()
-			}
-			// One linear pass over the slab collects the contained indices;
-			// the containment test matches geom.Rect.Contains exactly.
-			qc.hits = dist.FilterBoxSlab(q.Lo, q.Hi, n.vals, n.dim, qc.hits[:0])
-			for _, i := range qc.hits {
-				tr.Hit(span)
-				dst = append(dst, Entry{Point: n.point(int(i)), RID: n.rids[i]})
-			}
-			if tr != nil {
-				tr.AddCompute(int64(time.Since(scan0)))
-			}
-			continue
-		}
-		if n.kdRoot == kdNone {
-			continue
-		}
-		mark := len(pending)
-		pending = t.kdWalkBox(qc, n, q, span, pending)
-		reverseVisits(pending[mark:])
-	}
-	qc.pending = pending[:0]
-	return dst, nil
-}
-
-// kdWalkBox runs the box query's intra-node kd walk over index node n,
-// narrowing one boundary of qc.walk per internal record (and re-testing only
-// that boundary — the "a boundary is checked only once" property of Section
-// 3.1) and appending one visit per surviving kd-leaf, in kd order. Leaves
-// pass the second step of the paper's two-step overlap check (the encoded
-// live space) before being kept. span is the current node's trace span.
-func (t *Tree) kdWalkBox(qc *queryCtx, n *node, q geom.Rect, span int32, pending []visitRef) []visitRef {
-	br := qc.walk
-	tr := qc.tr
-	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
-	st := append(qc.frames, kdFrame{idx: n.kdRoot})
-	for len(st) > 0 {
-		f := &st[len(st)-1]
-		k := &kd[f.idx]
-		switch f.stage {
-		case 0:
-			if k.isLeaf() {
-				st = st[:len(st)-1]
-				live, ok := els.Get(uint32(k.Child), space)
-				if ok {
-					qc.tally.elsHits++
-					tr.ELSHit(span)
-					if !live.Intersects(q) {
-						qc.tally.elsPrunes++
-						tr.ELSPrune(span)
-						continue
-					}
-				}
-				qc.tally.descents++
-				tr.Descend(span)
-				pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
-				continue
-			}
-			d := int(k.Dim)
-			f.saved = br.Hi[d]
-			f.stage = 1
-			if k.Lsp < br.Hi[d] {
-				br.Hi[d] = k.Lsp
-			}
-			if q.Lo[d] <= br.Hi[d] && br.Hi[d] >= br.Lo[d] {
-				tr.KDLeft(span)
-				st = append(st, kdFrame{idx: k.Left})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		case 1:
-			d := int(k.Dim)
-			br.Hi[d] = f.saved
-			f.saved = br.Lo[d]
-			f.stage = 2
-			if k.Rsp > br.Lo[d] {
-				br.Lo[d] = k.Rsp
-			}
-			if q.Hi[d] >= br.Lo[d] && br.Hi[d] >= br.Lo[d] {
-				tr.KDRight(span)
-				st = append(st, kdFrame{idx: k.Right})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		default:
-			br.Lo[int(k.Dim)] = f.saved
-			st = st[:len(st)-1]
-		}
-	}
-	qc.frames = st[:0]
-	return pending
+// CountBox returns the number of entries inside q without materializing
+// them.
+func (t *Tree) CountBox(q geom.Rect) (int, error) {
+	c := t.getCtx()
+	defer t.putCtx(c)
+	d := query{op: opBox, win: q, count: true}
+	err := t.search(nil, c, Budget{}, &d)
+	return d.n, err
 }
 
 // SearchPoint returns the record ids stored exactly at p.
@@ -257,175 +130,9 @@ func (t *Tree) SearchRangeCtx(c *QueryContext, q geom.Point, radius float64, m d
 // ctx.Err(); budget exhaustion keeps the neighbors found so far in dst — a
 // valid subset of the full answer — and returns *ErrBudgetExceeded.
 func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.Point, radius float64, m dist.Metric, b Budget, dst []Neighbor) ([]Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", len(q), t.cfg.Dim)
-	}
-	if radius < 0 {
-		return dst, fmt.Errorf("core: negative radius %g", radius)
-	}
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	t.pinCtx(qc)
-	qc.arm(ctx, b)
-	tr, start := t.beginQuery(qc, opRange)
-	base := len(dst)
-
-	sqm, useSq := dist.AsSquared(m)
-	bound := radius
-	if useSq {
-		bound = radius * radius
-	}
-
-	pending := append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
-	for len(pending) > 0 {
-		if err := qc.checkVisit(opRange); err != nil {
-			qc.pending = pending[:0]
-			if isCtxErr(err) {
-				dst = dst[:base]
-			} else if be, ok := err.(*ErrBudgetExceeded); ok {
-				be.Partial = len(dst) - base
-			}
-			t.finishQuery(qc, opRange, start, len(dst)-base, err)
-			return dst, err
-		}
-		v := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		qc.arena.copyOut(v.slot, qc.walk)
-		qc.arena.release(v.slot)
-		n, hit, err := t.getqTraced(tr, v.child, qc.ver.epoch)
-		if err != nil {
-			qc.pending = pending[:0]
-			t.finishQuery(qc, opRange, start, len(dst)-base, err)
-			return dst, err
-		}
-		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			var scan0 time.Time
-			if tr != nil {
-				scan0 = time.Now()
-			}
-			if useSq {
-				// Batch kernel: one linear pass over the slab with
-				// partial-distance abandonment at the squared radius.
-				// Accepted values (<= bound) are bit-identical to
-				// DistanceSq.
-				out := qc.distSlab(n.count())
-				sqm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
-				for i, d2 := range out {
-					if d2 <= bound {
-						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: math.Sqrt(d2)})
-					}
-				}
-			} else {
-				for i := 0; i < n.count(); i++ {
-					if d := m.Distance(q, n.point(i)); d <= radius {
-						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d})
-					}
-				}
-			}
-			if tr != nil {
-				tr.AddCompute(int64(time.Since(scan0)))
-			}
-			continue
-		}
-		if n.kdRoot == kdNone {
-			continue
-		}
-		mark := len(pending)
-		pending = t.kdWalkDist(qc, n, q, m, sqm, useSq, bound, span, pending)
-		reverseVisits(pending[mark:])
-	}
-	qc.pending = pending[:0]
-	t.finishQuery(qc, opRange, start, len(dst)-base, nil)
-	return dst, nil
-}
-
-// kdWalkDist is the distance-range query's intra-node kd walk: surviving
-// kd-leaves are those whose region (mapped BR ∩ encoded live space, a
-// strictly tighter bound than the max of the two separate MINDISTs) lies
-// within bound of q. bound and the MINDIST computation are in squared space
-// when useSq is set.
-func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm dist.SquaredMetric, useSq bool, bound float64, span int32, pending []visitRef) []visitRef {
-	br := qc.walk
-	tr := qc.tr
-	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
-	st := append(qc.frames, kdFrame{idx: n.kdRoot})
-	for len(st) > 0 {
-		f := &st[len(st)-1]
-		k := &kd[f.idx]
-		switch f.stage {
-		case 0:
-			if k.isLeaf() {
-				st = st[:len(st)-1]
-				lb := 0.0
-				if live, ok := els.Get(uint32(k.Child), space); ok {
-					qc.tally.elsHits++
-					tr.ELSHit(span)
-					if !intersectInto(&qc.scratch, br, live) {
-						qc.tally.elsPrunes++
-						tr.ELSPrune(span)
-						continue
-					}
-					if useSq {
-						lb = sqm.MinDistRectSq(q, qc.scratch)
-					} else {
-						lb = m.MinDistRect(q, qc.scratch)
-					}
-				} else if useSq {
-					lb = sqm.MinDistRectSq(q, br)
-				} else {
-					lb = m.MinDistRect(q, br)
-				}
-				if lb <= bound {
-					qc.tally.descents++
-					tr.Descend(span)
-					pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
-				} else {
-					qc.tally.distPrunes++
-					tr.DistPrune(span)
-				}
-				continue
-			}
-			d := int(k.Dim)
-			f.saved = br.Hi[d]
-			f.stage = 1
-			if k.Lsp < br.Hi[d] {
-				br.Hi[d] = k.Lsp
-			}
-			if br.Hi[d] >= br.Lo[d] {
-				tr.KDLeft(span)
-				st = append(st, kdFrame{idx: k.Left})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		case 1:
-			d := int(k.Dim)
-			br.Hi[d] = f.saved
-			f.saved = br.Lo[d]
-			f.stage = 2
-			if k.Rsp > br.Lo[d] {
-				br.Lo[d] = k.Rsp
-			}
-			if br.Hi[d] >= br.Lo[d] {
-				tr.KDRight(span)
-				st = append(st, kdFrame{idx: k.Right})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		default:
-			br.Lo[int(k.Dim)] = f.saved
-			st = st[:len(st)-1]
-		}
-	}
-	qc.frames = st[:0]
-	return pending
+	d := query{op: opRange, point: q, metric: m, radius: radius, nbrs: dst}
+	err := t.search(ctx, c, b, &d)
+	return d.nbrs, err
 }
 
 // SearchKNN returns the k entries nearest to q under metric m, closest
@@ -441,7 +148,7 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, error)
 // SearchKNNCtx is SearchKNN with caller-managed scratch state and result
 // buffer (see SearchBoxCtx): the k results are appended to dst.
 func (t *Tree) SearchKNNCtx(c *QueryContext, q geom.Point, k int, m dist.Metric, dst []Neighbor) ([]Neighbor, error) {
-	return t.searchKNN(nil, c, q, k, m, 0, Budget{}, dst)
+	return t.SearchKNNContext(nil, c, q, k, m, Budget{}, dst)
 }
 
 // SearchKNNContext is SearchKNNCtx under a request lifecycle (see
@@ -451,128 +158,293 @@ func (t *Tree) SearchKNNCtx(c *QueryContext, q geom.Point, k int, m dist.Metric,
 // the *ErrBudgetExceeded. Context abandonment returns ctx.Err() with dst
 // unchanged past its input length.
 func (t *Tree) SearchKNNContext(ctx context.Context, c *QueryContext, q geom.Point, k int, m dist.Metric, b Budget, dst []Neighbor) ([]Neighbor, error) {
-	return t.searchKNN(ctx, c, q, k, m, 0, b, dst)
+	d := query{op: opKNN, point: q, metric: m, k: k, nbrs: dst}
+	err := t.search(ctx, c, b, &d)
+	return d.nbrs, err
 }
 
-// searchKNN is the shared exact/(1+epsilon)-approximate best-first search;
-// epsilon = 0 is exact. When m supports the squared-distance fast path,
-// frontier priorities, pruning bounds and leaf scans all work on squared
-// distances (with partial-distance early abandonment against the current
-// k-th best) and only the k reported results pay a square root.
-func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k int, m dist.Metric, epsilon float64, b Budget, dst []Neighbor) ([]Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", len(q), t.cfg.Dim)
+// SearchKNNApprox is (1+epsilon)-approximate k-nearest-neighbor search —
+// the query type the paper names as future work ("we intend to support new
+// types of queries like approximate nearest neighbor queries efficiently
+// using the hybrid tree"). It runs the same best-first traversal as
+// SearchKNN but discards any subtree whose MINDIST exceeds
+// bound/(1+epsilon), so every reported neighbor's distance is within a
+// (1+epsilon) factor of the true k-th distance, in exchange for visiting
+// fewer pages. epsilon = 0 degenerates to exact search.
+func (t *Tree) SearchKNNApprox(q geom.Point, k int, m dist.Metric, epsilon float64) ([]Neighbor, error) {
+	c := t.getCtx()
+	defer t.putCtx(c)
+	d := query{op: opKNN, point: q, metric: m, k: k, eps: epsilon}
+	err := t.search(nil, c, Budget{}, &d)
+	return d.nbrs, err
+}
+
+// query is the one description of a search that the traversal runs: its
+// kind, what it matches, and where its results go. The exported methods
+// above only fill one in.
+type query struct {
+	op int // opBox, opRange or opKNN
+	// win is the box window. Distance queries get the data space instead:
+	// it contains every region the kd walk forms, so the walk's window tests
+	// always pass for them and one walk serves every kind.
+	win    geom.Rect
+	point  geom.Point
+	metric dist.Metric
+	radius float64
+	k      int
+	eps    float64 // k-NN approximation: prune at bound/(1+eps)
+	count  bool    // box: count matches instead of returning them
+
+	// Set by run for distance queries. When the metric supports the
+	// squared-distance fast path, priorities, bounds and leaf scans all
+	// work on squared distances and only reported results pay a square
+	// root. bound is the range radius and shrink the k-NN pruning factor,
+	// both squared under useSq.
+	sqm    dist.SquaredMetric
+	useSq  bool
+	bound  float64
+	shrink float64
+
+	ents []Entry    // box results
+	nbrs []Neighbor // range and k-NN results
+	n    int        // box matches counted under count
+}
+
+// results is the query's result count so far, caller prefix included.
+func (q *query) results() int {
+	switch {
+	case q.count:
+		return q.n
+	case q.op == opBox:
+		return len(q.ents)
 	}
-	if k < 1 {
-		return dst, fmt.Errorf("core: k must be >= 1, got %d", k)
+	return len(q.nbrs)
+}
+
+// truncate drops every result past the first base.
+func (q *query) truncate(base int) {
+	switch {
+	case q.count:
+		q.n = base
+	case q.op == opBox:
+		q.ents = q.ents[:base]
+	default:
+		q.nbrs = q.nbrs[:base]
 	}
-	if epsilon < 0 {
-		return dst, fmt.Errorf("core: epsilon %g must be >= 0", epsilon)
+}
+
+// validate rejects a query the tree cannot run.
+func (t *Tree) validate(q *query) error {
+	dim := len(q.point)
+	if q.op == opBox {
+		dim = q.win.Dim()
+	}
+	switch {
+	case dim != t.cfg.Dim:
+		return fmt.Errorf("core: query has dim %d, tree expects %d", dim, t.cfg.Dim)
+	case q.op == opRange && q.radius < 0:
+		return fmt.Errorf("core: negative radius %g", q.radius)
+	case q.op == opKNN && q.k < 1:
+		return fmt.Errorf("core: k must be >= 1, got %d", q.k)
+	case q.op == opKNN && q.eps < 0:
+		return fmt.Errorf("core: epsilon %g must be >= 0", q.eps)
+	}
+	return nil
+}
+
+// search runs q on context c under a request lifecycle and settles its
+// results. A cancelled or timed-out ctx drops every result past the caller's
+// prefix. An exhausted budget keeps the valid partial answer — for k-NN the
+// sorted best-found-so-far — and reports its length as Partial. A failed
+// page read keeps a box or range query's results so far and leaves a k-NN
+// query's dst unchanged.
+func (t *Tree) search(ctx context.Context, c *QueryContext, b Budget, q *query) error {
+	if err := t.validate(q); err != nil {
+		return err
 	}
 	qc := &c.qc
 	qc.acquire(t.cfg.Dim)
 	defer qc.release()
 	t.pinCtx(qc)
 	qc.arm(ctx, b)
-	tr, start := t.beginQuery(qc, opKNN)
-	base := len(dst)
-
-	sqm, useSq := dist.AsSquared(m)
-	// shrink scales the pruning bound for approximate search; for squared
-	// distances the factor is squared too. epsilon = 0 gives shrink = 1,
-	// and x*1 == x for floats, so the exact path is untouched.
-	shrink := 1 / (1 + epsilon)
-	if useSq {
-		shrink *= shrink
+	_, start := t.beginQuery(qc, q.op)
+	base := q.results()
+	err := t.run(qc, q)
+	be, degraded := err.(*ErrBudgetExceeded)
+	if q.op == opKNN && (err == nil || degraded) {
+		q.nbrs = flushKNN(qc.best, q.useSq, q.nbrs)
 	}
+	if err != nil && isCtxErr(err) {
+		q.truncate(base)
+	}
+	if degraded {
+		be.Partial = q.results() - base
+	}
+	t.finishQuery(qc, q.op, start, q.results()-base, err)
+	return err
+}
 
-	pq := &qc.pq
-	best := qc.kbest(k)
-	pq.Push(visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1}, 0)
-	for pq.Len() > 0 {
-		if lerr := qc.checkVisit(opKNN); lerr != nil {
-			if be, ok := lerr.(*ErrBudgetExceeded); ok {
-				// Degrade to best-found-so-far: every neighbor in the
-				// collector is real, sorted and correctly ranked — it is
-				// the exact answer a smaller tree would have given.
-				prev := len(dst)
-				dst = flushKNN(best, useSq, dst)
-				be.Partial = len(dst) - prev
-				t.finishQuery(qc, opKNN, start, len(dst)-prev, lerr)
-				return dst, lerr
-			}
-			t.finishQuery(qc, opKNN, start, 0, lerr)
-			return dst, lerr
+// run is the one node-visit loop. Box and range queries visit nodes
+// depth-first from the pending stack; k-NN expands the best-first frontier
+// heap in MINDIST order and stops once the nearest unexpanded region cannot
+// beat the current k-th best. Each step checks the lifecycle, reads the
+// node, and either kd-walks an index node or scans a data node. The scan is
+// the loop's only per-kind code: it picks its kind (and distance kernel)
+// once per leaf, so no loop over a leaf's points branches on the kind.
+// ExplainBox runs it with its own trace in qc.tr.
+func (t *Tree) run(qc *queryCtx, q *query) error {
+	if q.op != opBox {
+		q.win = t.cfg.Space
+		q.sqm, q.useSq = dist.AsSquared(q.metric)
+		// shrink scales the k-NN pruning bound for approximate search.
+		// epsilon = 0 gives shrink = 1, and x*1 == x for floats, so the
+		// exact path is untouched.
+		q.bound, q.shrink = q.radius, 1/(1+q.eps)
+		if q.useSq {
+			q.bound *= q.bound
+			q.shrink *= q.shrink
 		}
-		v, mindist := pq.Pop()
-		if best.Full() && mindist > best.Bound()*shrink {
-			break
+	}
+	tr := qc.tr
+	knn := q.op == opKNN
+	pending := qc.pending
+	root := visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1}
+	var best *pqueue.KBest[Neighbor]
+	if knn {
+		best = qc.kbest(q.k)
+		qc.pq.Push(root, 0)
+	} else {
+		pending = append(pending, root)
+	}
+	var err error
+	for {
+		var v visitRef
+		if knn {
+			if qc.pq.Len() == 0 {
+				break
+			}
+			if err = qc.checkVisit(q.op); err != nil {
+				break
+			}
+			var mindist float64
+			v, mindist = qc.pq.Pop()
+			if best.Full() && mindist > best.Bound()*q.shrink {
+				break
+			}
+		} else {
+			if len(pending) == 0 {
+				break
+			}
+			if err = qc.checkVisit(q.op); err != nil {
+				break
+			}
+			v = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
 		}
 		qc.arena.copyOut(v.slot, qc.walk)
 		qc.arena.release(v.slot)
-		n, hit, err := t.getqTraced(tr, v.child, qc.ver.epoch)
-		if err != nil {
-			t.finishQuery(qc, opKNN, start, 0, err)
-			return dst, err
+		var n *node
+		var hit bool
+		if n, hit, err = t.getqTraced(tr, v.child, qc.ver.epoch); err != nil {
+			break
 		}
 		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			var scan0 time.Time
-			if tr != nil {
-				scan0 = time.Now()
-			}
-			if useSq {
-				// Batch kernel against the bound at leaf entry. A candidate
-				// whose exact distance beats only the *stale* bound reaches
-				// Offer, which rejects it with no state change (priority >=
-				// current worst) — exactly the candidates a per-point loop
-				// refreshing the bound would skip, so results and Hit
-				// counts match it.
-				bound := math.Inf(1)
-				if best.Full() {
-					bound = best.Bound()
-				}
-				out := qc.distSlab(n.count())
-				sqm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
-				for i, d2 := range out {
-					if d2 > bound {
-						continue // abandoned or beaten; Offer would reject it
-					}
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d2}, d2) {
-						tr.Hit(span)
-					}
-				}
-			} else {
-				for i := 0; i < n.count(); i++ {
-					d := m.Distance(q, n.point(i))
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d}, d) {
-						tr.Hit(span)
-					}
-				}
-			}
-			if tr != nil {
-				tr.AddCompute(int64(time.Since(scan0)))
+		if !n.leaf {
+			if n.kdRoot != kdNone {
+				mark := len(pending)
+				pending = t.kdWalk(qc, n, q, span, pending)
+				reverseVisits(pending[mark:])
 			}
 			continue
 		}
-		if n.kdRoot != kdNone {
-			t.kdWalkKNN(qc, n, q, m, sqm, useSq, best, shrink, span)
+
+		qc.tally.scanned += n.count()
+		tr.Scan(span, n.count())
+		var scan0 time.Time
+		if tr != nil {
+			scan0 = time.Now()
+		}
+		switch {
+		case q.op == opBox:
+			// One linear pass over the slab collects the contained
+			// indices; the containment test matches geom.Rect.Contains
+			// exactly.
+			qc.hits = dist.FilterBoxSlab(q.win.Lo, q.win.Hi, n.vals, n.dim, qc.hits[:0])
+			if q.count {
+				q.n += len(qc.hits)
+				if tr != nil {
+					for range qc.hits {
+						tr.Hit(span)
+					}
+				}
+				break
+			}
+			ents := q.ents
+			for _, i := range qc.hits {
+				tr.Hit(span)
+				ents = append(ents, Entry{Point: n.point(int(i)), RID: n.rids[i]})
+			}
+			q.ents = ents
+		case knn && q.useSq:
+			// Batch kernel against the bound at leaf entry. A candidate
+			// whose exact distance beats only the *stale* bound reaches
+			// Offer, which rejects it with no state change (priority >=
+			// current worst) — exactly the candidates a per-point loop
+			// refreshing the bound would skip, so results and Hit counts
+			// match it.
+			bound := math.Inf(1)
+			if best.Full() {
+				bound = best.Bound()
+			}
+			out := qc.distSlab(n.count())
+			q.sqm.DistanceSqSlab(q.point, n.vals, n.dim, bound, out)
+			for i, d2 := range out {
+				if d2 > bound {
+					continue // abandoned or beaten; Offer would reject it
+				}
+				if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d2}, d2) {
+					tr.Hit(span)
+				}
+			}
+		case knn:
+			// A metric without the squared fast path: one distance per
+			// point.
+			for i := 0; i < n.count(); i++ {
+				d := q.metric.Distance(q.point, n.point(i))
+				if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d}, d) {
+					tr.Hit(span)
+				}
+			}
+		case q.useSq:
+			// Range batch kernel: one linear pass over the slab with
+			// partial-distance abandonment at the squared radius. Accepted
+			// values (<= bound) are bit-identical to DistanceSq.
+			bound, nbrs := q.bound, q.nbrs
+			out := qc.distSlab(n.count())
+			q.sqm.DistanceSqSlab(q.point, n.vals, n.dim, bound, out)
+			for i, d2 := range out {
+				if d2 <= bound {
+					tr.Hit(span)
+					nbrs = append(nbrs, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: math.Sqrt(d2)})
+				}
+			}
+			q.nbrs = nbrs
+		default:
+			nbrs := q.nbrs
+			for i := 0; i < n.count(); i++ {
+				if d := q.metric.Distance(q.point, n.point(i)); d <= q.radius {
+					tr.Hit(span)
+					nbrs = append(nbrs, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d})
+				}
+			}
+			q.nbrs = nbrs
+		}
+		if tr != nil {
+			tr.AddCompute(int64(time.Since(scan0)))
 		}
 	}
-	if dst == nil {
-		dst = make([]Neighbor, 0, best.Len())
-	}
-	base = len(dst)
-	dst = best.AppendSorted(dst)
-	if useSq {
-		for i := base; i < len(dst); i++ {
-			dst[i].Dist = math.Sqrt(dst[i].Dist)
-		}
-	}
-	t.finishQuery(qc, opKNN, start, len(dst)-base, nil)
-	return dst, nil
+	qc.pending = pending[:0]
+	return err
 }
 
 // flushKNN appends the collector's neighbors to dst, closest first,
@@ -591,13 +463,26 @@ func flushKNN(best *pqueue.KBest[Neighbor], useSq bool, dst []Neighbor) []Neighb
 	return dst
 }
 
-// kdWalkKNN is the k-NN intra-node kd walk: each surviving kd-leaf joins
-// the best-first frontier with its (live-space-tightened) MINDIST as
-// priority, unless the current k-th best already rules it out.
-func (t *Tree) kdWalkKNN(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm dist.SquaredMetric, useSq bool, best *pqueue.KBest[Neighbor], shrink float64, span int32) {
-	br := qc.walk
-	tr := qc.tr
+// kdWalk is the one intra-node kd walk, run over index node n. It narrows
+// one boundary of qc.walk per internal kd record and re-tests only that
+// boundary against the window — the "a boundary is checked only once"
+// property of Section 3.1. Each surviving kd-leaf then takes the per-kind
+// step, the walk's only per-kind code:
+//   - box tests the child's encoded live space (the second step of the
+//     paper's two-step overlap check) against the window, and queues the
+//     child on the pending stack if they meet;
+//   - range bounds the child by the MINDIST from the query point to
+//     BR ∩ live space (a strictly tighter bound than the larger of the two
+//     separate MINDISTs) and queues it if that is within the radius;
+//   - k-NN computes the same MINDIST and pushes the child onto the
+//     best-first frontier unless the current k-th best × shrink rules it out.
+//
+// Box and range visits are appended in kd order; span is the node's trace
+// span.
+func (t *Tree) kdWalk(qc *queryCtx, n *node, q *query, span int32, pending []visitRef) []visitRef {
+	br, win, tr := qc.walk, q.win, qc.tr
 	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
+	op, best := q.op, qc.best
 	st := append(qc.frames, kdFrame{idx: n.kdRoot})
 	for len(st) > 0 {
 		f := &st[len(st)-1]
@@ -606,30 +491,47 @@ func (t *Tree) kdWalkKNN(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm
 		case 0:
 			if k.isLeaf() {
 				st = st[:len(st)-1]
-				var md float64
-				if live, ok := els.Get(uint32(k.Child), space); ok {
+				live, ok := els.Get(uint32(k.Child), space)
+				if ok {
 					qc.tally.elsHits++
 					tr.ELSHit(span)
+				}
+				if op == opBox {
+					if ok && !live.Intersects(win) {
+						qc.tally.elsPrunes++
+						tr.ELSPrune(span)
+						continue
+					}
+					qc.tally.descents++
+					tr.Descend(span)
+					pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
+					continue
+				}
+				region := br
+				if ok {
 					if !intersectInto(&qc.scratch, br, live) {
 						qc.tally.elsPrunes++
 						tr.ELSPrune(span)
 						continue
 					}
-					if useSq {
-						md = sqm.MinDistRectSq(q, qc.scratch)
-					} else {
-						md = m.MinDistRect(q, qc.scratch)
-					}
-				} else if useSq {
-					md = sqm.MinDistRectSq(q, br)
-				} else {
-					md = m.MinDistRect(q, br)
+					region = qc.scratch
 				}
-				if !best.Full() || md <= best.Bound()*shrink {
+				var md float64
+				if q.useSq {
+					md = q.sqm.MinDistRectSq(q.point, region)
+				} else {
+					md = q.metric.MinDistRect(q.point, region)
+				}
+				switch {
+				case op == opRange && md <= q.bound:
+					qc.tally.descents++
+					tr.Descend(span)
+					pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
+				case op == opKNN && (!best.Full() || md <= best.Bound()*q.shrink):
 					qc.tally.heapPushes++
 					tr.Descend(span)
 					qc.pq.Push(visitRef{child: k.Child, slot: qc.arena.put(br), span: span}, md)
-				} else {
+				default:
 					qc.tally.distPrunes++
 					tr.DistPrune(span)
 				}
@@ -641,7 +543,7 @@ func (t *Tree) kdWalkKNN(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm
 			if k.Lsp < br.Hi[d] {
 				br.Hi[d] = k.Lsp
 			}
-			if br.Hi[d] >= br.Lo[d] {
+			if win.Lo[d] <= br.Hi[d] && br.Hi[d] >= br.Lo[d] {
 				tr.KDLeft(span)
 				st = append(st, kdFrame{idx: k.Left})
 			} else {
@@ -656,7 +558,7 @@ func (t *Tree) kdWalkKNN(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm
 			if k.Rsp > br.Lo[d] {
 				br.Lo[d] = k.Rsp
 			}
-			if br.Hi[d] >= br.Lo[d] {
+			if win.Hi[d] >= br.Lo[d] && br.Hi[d] >= br.Lo[d] {
 				tr.KDRight(span)
 				st = append(st, kdFrame{idx: k.Right})
 			} else {
@@ -669,6 +571,7 @@ func (t *Tree) kdWalkKNN(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm
 		}
 	}
 	qc.frames = st[:0]
+	return pending
 }
 
 // intersectInto writes the intersection of a and b into dst (which must

@@ -20,14 +20,14 @@ import (
 // Each search pins the current epoch on entry and traverses the immutable
 // version of the tree published by the last commit.
 type Tree struct {
-	cfg    Config
-	file   pagefile.File
+	cfg  Config
+	file pagefile.File
 	// tx is non-nil when file supports transactional durability
 	// (pagefile.TxFile — the write-ahead log). Each top-level mutation is
 	// then bracketed in a transaction and sealed durable before it is
 	// acknowledged; see sealMutation.
-	tx    pagefile.TxFile
-	store *store
+	tx     pagefile.TxFile
+	store  *store
 	els    *els.Table
 	meta   pagefile.PageID
 	root   pagefile.PageID
@@ -615,12 +615,12 @@ func (t *Tree) insertAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 func (t *Tree) chooseChild(n *node, nodeBR geom.Rect, p geom.Point) (int32, []int32) {
 	br := nodeBR.Clone()
 	var (
-		bestIdx    int32 = kdNone
-		bestEnl          = 0.0
-		bestArea         = 0.0
-		first            = true
-		stack            = make([]int32, 0, 16)
-		bestPath         = make([]int32, 0, 16)
+		bestIdx  int32 = kdNone
+		bestEnl        = 0.0
+		bestArea       = 0.0
+		first          = true
+		stack          = make([]int32, 0, 16)
+		bestPath       = make([]int32, 0, 16)
 	)
 	var walk func(idx int32)
 	walk = func(idx int32) {
